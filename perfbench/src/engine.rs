@@ -30,8 +30,11 @@ const MAX_ATTEMPTS: u32 = 64;
 const CHECK_ROUNDS: u64 = 3000;
 /// Seconds per measurement window.
 const WINDOW_S: u64 = 1;
-/// `ShardedDb::new` calls per run; set-up time is their median.
-const SETUPS: usize = 51;
+/// Timed `ShardedDb::new` calls per run; set-up time is their median.
+const SETUPS: usize = 201;
+/// Untimed calls before them: the first few dozen run slower while the
+/// allocator and the thread stacks warm up.
+const WARMUP: usize = 50;
 
 struct Slot {
     h: GlobalTxn,
@@ -241,11 +244,13 @@ pub fn contended(args: &Args, traced: bool) -> Result<Phase, String> {
     let make: &dyn Fn() -> Box<dyn ConcurrencyControl> = &strict_2pl;
     let mut setups = Vec::with_capacity(SETUPS);
     let mut db = None;
-    for _ in 0..SETUPS {
+    for i in 0..WARMUP + SETUPS {
         drop(db.take());
         let t = Instant::now();
         db = Some(ShardedDb::new(make, init(), SHARDS));
-        setups.push(t.elapsed().as_secs_f64());
+        if i >= WARMUP {
+            setups.push(t.elapsed().as_secs_f64());
+        }
     }
     let epoch = Instant::now();
     let mut spans = Spans::new(traced, epoch, 1);

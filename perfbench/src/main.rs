@@ -128,9 +128,10 @@ pub struct Phase {
     pub window_s: f64,
     /// Transaction completions and latencies, by window.
     pub lat: Windows,
-    /// Closed loop: the commit rate is taken over the quiet windows. In
-    /// the open loop the offered load is fixed, so the rate is taken over
-    /// the whole phase, where only a backlog can lower it.
+    /// Closed loop: the commit rate and CPU per commit are taken over the
+    /// quiet windows. In the open loop the offered load is fixed, so the
+    /// rate is taken over the whole phase, where only a backlog can lower
+    /// it, and CPU per commit over all windows (see [`Windows`]).
     pub closed_loop: bool,
     pub rss_mb: f64,
     pub steal_frac: f64,
@@ -148,19 +149,19 @@ impl Phase {
         let w = self
             .lat
             .stats()
-            .ok_or("a window has too few latency samples for a p99 with ten beyond it")?;
+            .ok_or("no measurement window holds a commit")?;
         let c = self.committed as f64;
-        let rate = if self.closed_loop {
-            w.rate
+        let (rate, cpu) = if self.closed_loop {
+            (w.rate, w.quiet_cpu_us_per_commit)
         } else {
-            c / self.window_s
+            (c / self.window_s, w.cpu_us_per_commit)
         };
         Ok(vec![
             ("setup_s", measure::median(&self.setups)),
             ("commits_per_s", rate),
             ("txn_p50_us", w.p50_us),
             ("txn_p99_us", w.p99_us),
-            ("cpu_us_per_commit", w.cpu_us_per_commit),
+            ("cpu_us_per_commit", cpu),
             ("peak_rss_mb", self.rss_mb),
         ])
     }
@@ -282,6 +283,7 @@ fn run(args: &Args) -> Result<(), String> {
         base.lat.all.len()
     );
     println!("noise host.steal_frac={steal} gen.late_p99_us={late_p99} gen.cpu_frac={gen_cpu}");
+    println!("setup samples (s): {:?}", base.setups);
     for l in base.lat.lines() {
         println!("{l}");
     }
@@ -300,8 +302,8 @@ fn run(args: &Args) -> Result<(), String> {
             .map_or("", |(_, u)| *u);
         let note = if n.starts_with("txn_p") {
             format!(
-                " (median over the {} of {} windows with the least host steal, mean {:.4}; \
-                 at least {} samples per window, {} in all)",
+                " (over the {} of {} windows with the least host steal, mean {:.4}; \
+                 at least {} samples per window, {} in all; 0 = too few samples for it)",
                 w.quiet,
                 w.windows,
                 w.quiet_steal,

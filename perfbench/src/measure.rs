@@ -142,12 +142,16 @@ impl Hist {
 /// Transaction completions split into equal windows of the timed phase.
 /// CPU steal on a shared host comes and goes within seconds, can take a
 /// quarter of the CPU and halves throughput while it lasts. The commit
-/// rate and the latency quantiles are therefore medians over the third
-/// of the windows with the least host steal: the program's figures when
-/// its neighbours are quiet. CPU per commit drifts within a run (the
-/// SI server's grows with its commits) and steal moves it less, so it
-/// is the median over all windows. The per-window lines show every
-/// window with its host steal.
+/// rate and the latency quantiles are therefore taken over the third of
+/// the windows with the least host steal: the program's figures when its
+/// neighbours are quiet. CPU per commit is given both ways: as the
+/// median over all windows and over the quiet ones. A closed loop's
+/// load falls with steal and its CPU per commit rises by a quarter at
+/// 25% steal, so it takes the quiet windows; an open loop's load is
+/// fixed, but its CPU per commit drifts within a run (the SI server's
+/// grows with its commits), so it takes all windows, where picking them
+/// by steal would pick different parts of that drift. The per-window
+/// lines show every window with its host steal.
 pub struct Windows {
     start: Instant,
     width: Duration,
@@ -168,7 +172,10 @@ pub struct WindowStats {
     pub rate: f64,
     pub p50_us: f64,
     pub p99_us: f64,
+    /// Median over all windows.
     pub cpu_us_per_commit: f64,
+    /// Median over the quiet windows.
+    pub quiet_cpu_us_per_commit: f64,
     pub windows: usize,
     /// Windows with the least steal, behind the rate and latencies.
     pub quiet: usize,
@@ -179,13 +186,14 @@ pub struct WindowStats {
 }
 
 impl Windows {
-    /// Windows of `width_s` seconds covering `seconds` from `start`;
-    /// `pid` is the process under test.
+    /// Windows of `width_s` seconds (at most `seconds`) covering `seconds`
+    /// from `start`; `pid` is the process under test.
     pub fn new(start: Instant, seconds: u64, width_s: u64, pid: u32) -> Windows {
-        let n = (seconds / width_s.max(1)).max(1) as usize;
+        let width_s = width_s.clamp(1, seconds.max(1));
+        let n = (seconds / width_s).max(1) as usize;
         Windows {
             start,
-            width: Duration::from_secs(width_s.max(1)),
+            width: Duration::from_secs(width_s),
             wins: vec![Hist::default(); n],
             pid,
             marks: Vec::new(),
@@ -251,31 +259,54 @@ impl Windows {
             .collect()
     }
 
-    /// The commit rate, p50 and p99 as medians over the third of the
-    /// windows (plus one) with the least host steal, ties to the earlier
-    /// window, and CPU per commit as the median over all windows; `None`
-    /// unless every window has ten samples beyond its p99 and every
-    /// window boundary was sampled.
+    /// The commit rate as the median over the third of the windows (plus
+    /// one) with the least host steal, ties to the earlier window; p50 and
+    /// p99 over those windows' completions pooled; CPU per commit as the
+    /// median over all windows and over the quiet ones. Only windows
+    /// whose both boundaries were sampled and that hold a completion
+    /// count. A slow host thins the windows but never fails the run: a
+    /// quantile with fewer than ten samples beyond it in the quiet
+    /// windows is taken over the whole phase, and reads 0 (not reported)
+    /// if it has too few there as well. `None` only when no window holds
+    /// a completion.
     pub fn stats(&self) -> Option<WindowStats> {
-        let mut rows = Vec::with_capacity(self.wins.len());
-        for (w, d) in self.wins.iter().zip(self.deltas()) {
-            let (steal, ns) = d?;
-            let rate = w.len() as f64 / self.width.as_secs_f64();
-            let (p50, p99) = (w.quantile_us(0.50)?, w.quantile_us(0.99)?);
-            rows.push((steal, rate, p50, p99, ns / 1e3 / w.len() as f64));
+        let mut rows: Vec<(f64, f64, f64, usize)> = self
+            .wins
+            .iter()
+            .zip(self.deltas())
+            .enumerate()
+            .filter_map(|(k, (w, d))| {
+                let (steal, ns) = d?;
+                let n = w.len() as f64;
+                (n > 0.0).then(|| (steal, n / self.width.as_secs_f64(), ns / 1e3 / n, k))
+            })
+            .collect();
+        if rows.is_empty() {
+            return None;
         }
-        let cpu = median(&rows.iter().map(|r| r.4).collect::<Vec<_>>());
+        let cpu = median(&rows.iter().map(|r| r.2).collect::<Vec<_>>());
         // A stable sort keeps ties in window order.
         rows.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let quiet = &rows[..(rows.len() / 3 + 1).min(rows.len())];
-        let col = |f: fn(&(f64, f64, f64, f64, f64)) -> f64| {
+        let quiet = &rows[..rows.len() / 3 + 1];
+        let mut pooled = Hist::default();
+        for r in quiet {
+            pooled.merge(&self.wins[r.3]);
+        }
+        let q = |p: f64| {
+            pooled
+                .quantile_us(p)
+                .or_else(|| self.all.quantile_us(p))
+                .unwrap_or(0.0)
+        };
+        let col = |f: fn(&(f64, f64, f64, usize)) -> f64| {
             median(&quiet.iter().map(f).collect::<Vec<_>>())
         };
         Some(WindowStats {
             rate: col(|r| r.1),
-            p50_us: col(|r| r.2),
-            p99_us: col(|r| r.3),
+            p50_us: q(0.50),
+            p99_us: q(0.99),
             cpu_us_per_commit: cpu,
+            quiet_cpu_us_per_commit: col(|r| r.2),
             windows: self.wins.len(),
             quiet: quiet.len(),
             quiet_steal: quiet.iter().map(|r| r.0).sum::<f64>() / quiet.len() as f64,

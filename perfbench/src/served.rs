@@ -19,15 +19,19 @@ use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Server starts per run; set-up time is their median.
-const SETUPS: usize = 9;
+/// Timed server starts per run, after one untimed start that brings the
+/// binary into the page cache; set-up time is their median.
+const SETUPS: usize = 25;
+/// Pause between server starts, so the starts span about a second and a
+/// short burst of host steal delays only a few of them.
+const SETUP_GAP: Duration = Duration::from_millis(40);
 /// A transaction still uncommitted after this many attempts is abandoned.
 const MAX_ATTEMPTS: u32 = 64;
 /// Bound on any single wait for the server.
-const IO_TIMEOUT: Duration = Duration::from_secs(20);
+const IO_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// A running `ccopt-server` child.
 struct ServerProc {
@@ -96,22 +100,23 @@ impl Drop for ServerProc {
     }
 }
 
-/// Start the server `SETUPS` times (`args_for(i)` gives start `i`'s
-/// flags), keep the last one running and return it with the start times.
-fn start_servers(
-    bin: &Path,
-    args_for: impl Fn(usize) -> Vec<String>,
-) -> Result<(ServerProc, Vec<f64>), String> {
+/// Start the server `SETUPS + 1` times with `args` (start 0 is untimed),
+/// keep the last one running and return it with the times of starts 1
+/// to `SETUPS`.
+fn start_servers(bin: &Path, args: &[String]) -> Result<(ServerProc, Vec<f64>), String> {
     let mut setups = Vec::with_capacity(SETUPS);
-    for i in 0..SETUPS {
-        let (s, t) = ServerProc::spawn(bin, &args_for(i))?;
-        setups.push(t);
-        if i + 1 == SETUPS {
+    for i in 0..=SETUPS {
+        let (s, t) = ServerProc::spawn(bin, args)?;
+        if i > 0 {
+            setups.push(t);
+        }
+        if i == SETUPS {
             return Ok((s, setups));
         }
         drop(s);
+        std::thread::sleep(SETUP_GAP);
     }
-    unreachable!("SETUPS > 0")
+    unreachable!("the loop returns at i == SETUPS")
 }
 
 fn client(addr: &str) -> Result<Client, String> {
@@ -246,7 +251,7 @@ const RM_VARS: u32 = 65_536;
 const RM_UPDATE_FRAC: f64 = 0.25;
 const RM_CROSS_FRAC: f64 = 0.10;
 const RM_KEYS: usize = 4;
-/// A 3 s window holds 1,200 commits, enough for a p99 with ten beyond it.
+/// A 3 s window holds 1,200 commits.
 const RM_WINDOW_S: u64 = 3;
 
 struct RmTxn {
@@ -494,7 +499,7 @@ pub fn readmostly(args: &Args, traced: bool) -> Result<Phase, String> {
     .iter()
     .map(|s| s.to_string())
     .collect();
-    let (server, setups) = start_servers(&args.server, |_| flags.clone())?;
+    let (server, setups) = start_servers(&args.server, &flags)?;
     let mut phase = readmostly_on(args, traced, &server, &txns)?;
     phase.setups = setups;
     Ok(phase)
@@ -663,9 +668,30 @@ fn readmostly_on(
 const TD_ACCOUNTS: u32 = 4096;
 /// Accounts plus one ledger key per connection.
 const TD_VARS: u32 = TD_ACCOUNTS + 2;
-/// A 2 s window holds over 1,010 commits even when host steal halves
-/// the commit rate.
+/// A 2 s window holds about 3,000 commits on a quiet 2-core host.
 const TD_WINDOW_S: u64 = 2;
+/// The server keeps each two-phase commit's decision until a checkpoint,
+/// so its memory grows with commits, and a faster host would read a
+/// higher peak. Peak RSS is therefore read when this many commits have
+/// been acknowledged: about 9 s at the slowest commit rate seen on a
+/// 2-core host under 25% CPU steal.
+const TD_RSS_COMMITS: u64 = 10_000;
+
+/// Reads the server's peak RSS once, at the `TD_RSS_COMMITS`-th commit
+/// acknowledged on either connection.
+struct RssProbe {
+    pid: u32,
+    commits: AtomicU64,
+    mb: OnceLock<f64>,
+}
+
+impl RssProbe {
+    fn committed(&self) {
+        if self.commits.fetch_add(1, Ordering::SeqCst) + 1 == TD_RSS_COMMITS {
+            let _ = self.mb.set(measure::peak_rss_mb(&self.pid.to_string()));
+        }
+    }
+}
 
 /// What one closed-loop connection did.
 #[derive(Default)]
@@ -707,6 +733,7 @@ fn transfer_loop(
     seconds: u64,
     pid: u32,
     part: &Partition,
+    rss: &RssProbe,
     mut spans: Spans,
     traced: bool,
 ) -> Result<ConnOut, String> {
@@ -819,6 +846,7 @@ fn transfer_loop(
         let now = Instant::now();
         spans.record(txn_span, 0, "txn", t0, now);
         if committed {
+            rss.committed();
             out.committed += 1;
             out.cross += (part.shard_of(VarId(src)) != part.shard_of(VarId(dst))
                 || part.shard_of(VarId(src)) != part.shard_of(VarId(ledger)))
@@ -857,7 +885,9 @@ fn logs_len(dir: &Path) -> u64 {
 
 pub fn transfer_durable(args: &Args, traced: bool) -> Result<Phase, String> {
     let part = Partition::new(TD_VARS as usize, 2);
-    let dir_of = |i: usize| args.work.join(format!("data-{}-{i}", traced as u8));
+    // Start 0 creates the logs; the timed starts reopen them, so set-up
+    // time is the server's restart on its data directory.
+    let dir = args.work.join(format!("data-{}", traced as u8));
     let flags = |dir: &Path| -> Vec<String> {
         [
             "--cc",
@@ -875,14 +905,8 @@ pub fn transfer_durable(args: &Args, traced: bool) -> Result<Phase, String> {
         .map(|s| s.to_string())
         .collect()
     };
-    for i in 0..SETUPS {
-        std::fs::create_dir_all(dir_of(i)).map_err(|e| format!("data dir: {e}"))?;
-    }
-    let (server, setups) = start_servers(&args.server, |i| flags(&dir_of(i)))?;
-    for i in 0..SETUPS - 1 {
-        let _ = std::fs::remove_dir_all(dir_of(i));
-    }
-    let dir = dir_of(SETUPS - 1);
+    std::fs::create_dir_all(&dir).map_err(|e| format!("data dir: {e}"))?;
+    let (server, setups) = start_servers(&args.server, &flags(&dir))?;
     let epoch0 = Instant::now();
     let mut main_spans = Spans::new(traced, epoch0, 1);
 
@@ -895,10 +919,16 @@ pub fn transfer_durable(args: &Args, traced: bool) -> Result<Phase, String> {
         let noise = Noise::start();
         let start = Instant::now();
         let (c0, c1) = clients.split_at_mut(1);
+        let probe = RssProbe {
+            pid,
+            commits: AtomicU64::new(0),
+            mb: OnceLock::new(),
+        };
         let outs = std::thread::scope(|sc| {
             let sp1 = Spans::new(traced, epoch0, 3);
             let c1 = &mut c1[0];
             let part = &part;
+            let probe = &probe;
             let h = sc.spawn(move || {
                 transfer_loop(
                     c1,
@@ -908,6 +938,7 @@ pub fn transfer_durable(args: &Args, traced: bool) -> Result<Phase, String> {
                     args.seconds,
                     pid,
                     part,
+                    probe,
                     sp1,
                     traced,
                 )
@@ -920,6 +951,7 @@ pub fn transfer_durable(args: &Args, traced: bool) -> Result<Phase, String> {
                 args.seconds,
                 pid,
                 part,
+                probe,
                 Spans::new(traced, epoch0, 2),
                 traced,
             );
@@ -936,7 +968,15 @@ pub fn transfer_durable(args: &Args, traced: bool) -> Result<Phase, String> {
         let (steal, gen_cpu) = noise.finish();
         let log1 = logs_len(&dir);
         let s1 = stats(&mut clients[0], &mut main_spans)?;
-        let rss = measure::peak_rss_mb(&server.pid().to_string());
+        let rss = match probe.mb.get() {
+            Some(&mb) => mb,
+            None => {
+                println!(
+                    "FLAG slow run: fewer than {TD_RSS_COMMITS} commits, peak_rss_mb read at the end"
+                );
+                measure::peak_rss_mb(&pid.to_string())
+            }
+        };
         Ok((
             outs,
             start,
