@@ -966,7 +966,8 @@ impl SessionDb {
                 // A snapshot retired: sweep the version store, but only
                 // when the watermark actually advanced — with the same
                 // watermark nothing new is reclaimable (fresh installs all
-                // sit above it), so the scan would be wasted work.
+                // sit above it), so even the O(garbage) sweep over the
+                // chains holding history would find nothing to drop.
                 if let Store::Multi(mv) = &mut self.store {
                     let watermark = self.cc.gc_watermark().min(self.gc_floor);
                     if watermark > self.gc_watermark {
