@@ -48,7 +48,7 @@ pub struct Metrics {
     /// Transactions aborted by load shedding: an operation arrived while
     /// its shard's bounded mailbox was full (0 outside sharded runs).
     pub shed_aborts: usize,
-    /// Coordinator→shard mailbox round-trips on the operation lifecycle
+    /// Coordinator→shard jobs on the operation lifecycle
     /// (lazy begins, operation runs, single-shard commits, retires; 2PC
     /// protocol messages are counted separately under `twopc_actions` in
     /// the sharded coordinator). The messaging tax is

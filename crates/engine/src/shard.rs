@@ -3,9 +3,15 @@
 //!
 //! [`ShardedDb`] splits the variable universe across `S` independent
 //! [`SessionDb`] shards — each with its own concurrency-control instance,
-//! store, and (optionally) write-ahead log — and drives every shard from
-//! its **own OS thread** through a mailbox ([`ccopt_par::Worker`]): the
-//! first genuinely parallel execution path in the engine. A transaction
+//! store, and (optionally) write-ahead log — and gives every shard its
+//! own [`ccopt_par::Worker`]: the first genuinely parallel execution path
+//! in the engine. A synchronous shard job (a run of operations, a
+//! single-shard commit, a packed group) runs on the **calling thread**
+//! under the shard's lock, since the coordinator would only block on the
+//! reply; fan-outs that span shards (2PC votes and participant resolves,
+//! retires, rollbacks) go to the other shards' mailboxes first and run on
+//! their threads in parallel while the first shard's job runs inline. A
+//! transaction
 //! whose footprint stays inside one shard runs entirely locally (the
 //! common case a good partitioning maximizes); a cross-shard transaction
 //! commits through a **two-phase commit**:
@@ -13,7 +19,7 @@
 //! 1. *Prepare*: every touched shard runs its ordinary concurrency-control
 //!    commit decision ([`SessionDb::prepare_commit`]) and forces a prepare
 //!    record — the write-set under the global transaction id — to its own
-//!    log. Votes fan out to the shard threads in parallel.
+//!    log. Votes fan out across the shards in parallel.
 //! 2. *Resolve*: once every shard voted yes, the **coordinator shard**
 //!    (the lowest touched index) logs and fsyncs a resolve record — the
 //!    atomic commit point — after which the remaining shards apply their
@@ -56,12 +62,12 @@
 //!
 //! ## Fault domains
 //!
-//! Each shard worker is a **fault domain** (`ccopt-par`): a panic on a
-//! shard thread kills that shard, never the process, and drops its
-//! [`SessionDb`] mid-flight — the write-ahead log closes without a final
-//! flush, which is crash semantics. The coordinator **supervises**: any
-//! interaction returning a worker error triggers an in-place restart of
-//! the crashed shard — recover its log, settle its in-doubt prepares
+//! Each shard worker is a **fault domain** (`ccopt-par`): a panic in a
+//! shard job — on whichever thread runs it — kills that shard, never the
+//! process, and drops its [`SessionDb`] mid-flight — the write-ahead log
+//! closes without a final flush, which is crash semantics. The
+//! coordinator **supervises**: any interaction returning a worker error
+//! triggers an in-place restart of the crashed shard — recover its log, settle its in-doubt prepares
 //! against the in-process decision table (`decided`, the same
 //! coordinator consultation recovery uses), fail every running global
 //! transaction that had state there with [`SessionError::ShardDown`],
@@ -89,10 +95,6 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Per-shard 2PC vote replies, tagged with their shard index (`Err` is a
-/// shard whose worker died before answering).
-type VoteReplies = Vec<(usize, Result<Reply<Op<()>>, WorkerError>)>;
 
 /// Deterministic hash partitioning of the variable universe: global
 /// variable ids to `(shard, local id)` and back.
@@ -350,9 +352,9 @@ pub struct ShardedDb<'a> {
     /// as [`GStatus::Failed`]); the coordinator's share of the abort
     /// attribution table.
     failover_fails: usize,
-    /// Coordinator→shard mailbox round-trips on the operation lifecycle
-    /// (lazy begins, runs, single-shard commits, retires); the numerator
-    /// of the messaging tax.
+    /// Coordinator→shard jobs on the operation lifecycle (lazy begins,
+    /// runs, single-shard commits, retires); the numerator of the
+    /// messaging tax.
     shard_msgs: usize,
     /// Data operations those messages carried; the denominator of the
     /// messaging tax.
@@ -716,10 +718,9 @@ impl<'a> ShardedDb<'a> {
     }
 
     /// Submit a run of operations in one call, amortizing the per-op
-    /// worker round trip flagged in the roadmap: maximal runs of
-    /// consecutive operations owned by the *same* shard travel in a
-    /// single mailbox message and execute back-to-back on that shard's
-    /// thread, so a k-op single-shard transaction costs one round trip
+    /// shard job: maximal runs of consecutive operations owned by the
+    /// *same* shard travel as a single job and execute back-to-back on
+    /// that shard, so a k-op single-shard transaction costs one job
     /// instead of k. Outcomes come back per operation, in submission
     /// order, and execution stops at the first non-[`Op::Done`] outcome:
     /// operations after it are **not attempted** (the returned vector is
@@ -830,7 +831,7 @@ impl<'a> ShardedDb<'a> {
     }
 
     /// Submit a group of **independent transactions'** batches in as few
-    /// mailbox messages as possible — the cross-transaction half of the
+    /// shard jobs as possible — the cross-transaction half of the
     /// batched-submission story (the server's engine thread collects
     /// runs from many connections into one group per pass).
     ///
@@ -838,8 +839,8 @@ impl<'a> ShardedDb<'a> {
     /// single shard are packed into **one message per shard**, carrying
     /// every such transaction's run — and, when
     /// [`commit`](GroupReq::commit) is set, its single-shard commit and
-    /// retire too, so a whole k-op transaction costs one round trip
-    /// instead of `k + 2`. Groups execute in first-appearance order of
+    /// retire too, so a whole k-op transaction costs one job instead of
+    /// `k + 2`. Groups execute in first-appearance order of
     /// their shard; requests that span shards fall back to
     /// [`apply_batch`](Self::apply_batch) (and the ordinary
     /// [`commit`](Self::commit)) after the packed groups, in submission
@@ -984,7 +985,7 @@ impl<'a> ShardedDb<'a> {
         resps
     }
 
-    /// Execute one shard's packed group: a single mailbox message
+    /// Execute one shard's packed group: a single shard job
     /// carrying every member's (lazy begin, run, optional commit +
     /// retire), with restart stamps consumed lazily in execution order.
     fn group_shard(
@@ -1288,23 +1289,13 @@ impl<'a> ShardedDb<'a> {
                 .collect()
         } else {
             // The parallel path: every shard's vote (concurrency-control
-            // validation + forced prepare fsync) runs concurrently on its
-            // own thread.
-            let replies: VoteReplies = pending
-                .iter()
-                .zip(&spares)
-                .map(|(&(s, sub), &spare)| {
-                    let reply = self.workers[s].submit(move |db| {
-                        db.set_restart_ts(spare);
-                        db.prepare_commit(sub, gtid, coord).expect("sub is live")
-                    });
-                    (s, reply)
+            // validation + forced prepare fsync) runs concurrently.
+            self.fan_out(pending.iter().zip(&spares).map(|(&(s, sub), &spare)| {
+                (s, move |db: &mut SessionDb| {
+                    db.set_restart_ts(spare);
+                    db.prepare_commit(sub, gtid, coord).expect("sub is live")
                 })
-                .collect();
-            replies
-                .into_iter()
-                .map(|(s, r)| (s, r.and_then(|rep| rep.wait())))
-                .collect()
+            }))
         };
         if !pending.is_empty() {
             self.twopc_hist.prepare_fanout.record(pending.len() as u64);
@@ -1418,25 +1409,23 @@ impl<'a> ShardedDb<'a> {
                 }
             }
         } else {
-            let replies: Vec<(usize, Result<Reply<()>, WorkerError>)> = shards[1..]
-                .iter()
-                .map(|&s| {
-                    let SubState::Prepared(sub) = self.slots[ti].subs[s] else {
-                        unreachable!("participants voted above")
-                    };
-                    let reply = self.workers[s].submit(move |db| {
-                        db.set_gc_floor(floor);
-                        db.resolve_commit(sub, true, false)
-                            .expect("participant sub is prepared")
-                    });
-                    (s, reply)
+            let slot = &self.slots[ti];
+            let resolves = self.fan_out(shards[1..].iter().map(|&s| {
+                let SubState::Prepared(sub) = slot.subs[s] else {
+                    unreachable!("participants voted above")
+                };
+                (s, move |db: &mut SessionDb| {
+                    db.set_gc_floor(floor);
+                    db.resolve_commit(sub, true, false)
+                        .expect("participant sub is prepared")
                 })
-                .collect();
-            for (s, r) in replies {
-                if r.and_then(|rep| rep.wait()).is_err() {
-                    crashed.push(s);
-                }
-            }
+            }));
+            crashed.extend(
+                resolves
+                    .into_iter()
+                    .filter(|(_, r)| r.is_err())
+                    .map(|(s, _)| s),
+            );
         }
         for s in crashed {
             self.supervise_crash(s);
@@ -1490,29 +1479,26 @@ impl<'a> ShardedDb<'a> {
             GStatus::Failed => return Err(SessionError::ShardDown),
             GStatus::Free => unreachable!("stale handles were rejected"),
         }
-        let mut crashed: Vec<usize> = Vec::new();
-        let mut replies: Vec<(usize, Reply<()>)> = Vec::new();
-        for s in 0..self.workers.len() {
-            match self.slots[ti].subs[s] {
-                SubState::Running(sub) | SubState::Prepared(sub) => {
-                    match self.workers[s]
-                        .submit(move |db| db.retire(sub).expect("sub is committed"))
-                    {
-                        Ok(r) => replies.push((s, r)),
-                        Err(WorkerError) => crashed.push(s),
-                    }
-                }
-                SubState::Absent => {}
+        let subs: Vec<(usize, Txn)> = (0..self.workers.len())
+            .filter_map(|s| match self.slots[ti].subs[s] {
+                SubState::Running(sub) | SubState::Prepared(sub) => Some((s, sub)),
+                SubState::Absent => None,
+            })
+            .collect();
+        // A dead shard takes no message.
+        self.shard_msgs += subs
+            .iter()
+            .filter(|&&(s, _)| self.workers[s].is_alive())
+            .count();
+        let retired = self.fan_out(subs.into_iter().map(|(s, sub)| {
+            (s, move |db: &mut SessionDb| {
+                db.retire(sub).expect("sub is committed")
+            })
+        }));
+        for (s, r) in retired {
+            if r.is_err() {
+                self.supervise_crash(s);
             }
-        }
-        self.shard_msgs += replies.len();
-        for (s, r) in replies {
-            if r.wait().is_err() {
-                crashed.push(s);
-            }
-        }
-        for s in crashed {
-            self.supervise_crash(s);
         }
         self.retires += 1;
         self.free_slot(ti);
@@ -1844,39 +1830,35 @@ impl<'a> ShardedDb<'a> {
 
     /// Roll back every sub-transaction of slot `ti` on its shard, except
     /// the shard `keep` (which stays touched and running). Rollbacks fan
-    /// out to the shard threads and are collected before returning.
+    /// out across the shards and are collected before returning.
     fn rollback_subs(&mut self, ti: usize, keep: Option<usize>) {
-        let mut crashed: Vec<usize> = Vec::new();
-        let mut replies: Vec<(usize, Reply<()>)> = Vec::new();
+        let mut undo: Vec<(usize, SubState)> = Vec::new();
         for s in 0..self.workers.len() {
             if Some(s) == keep {
                 debug_assert!(matches!(self.slots[ti].subs[s], SubState::Running(_)));
                 continue;
             }
-            let submitted = match self.slots[ti].subs[s] {
-                SubState::Running(sub) => {
-                    Some(self.workers[s].submit(move |db| db.abort(sub).expect("sub is live")))
-                }
-                SubState::Prepared(sub) => Some(self.workers[s].submit(move |db| {
-                    db.resolve_commit(sub, false, false)
-                        .expect("sub is prepared")
-                })),
-                SubState::Absent => None,
-            };
-            match submitted {
-                Some(Ok(r)) => replies.push((s, r)),
-                // A dead shard's sub died with it (nothing to roll back
-                // there); the shard itself is supervised below.
-                Some(Err(WorkerError)) => crashed.push(s),
-                None => {}
-            }
-            self.slots[ti].subs[s] = SubState::Absent;
-        }
-        for (s, r) in replies {
-            if r.wait().is_err() {
-                crashed.push(s);
+            match std::mem::replace(&mut self.slots[ti].subs[s], SubState::Absent) {
+                SubState::Absent => {}
+                sub => undo.push((s, sub)),
             }
         }
+        // A dead shard's sub died with it (nothing to roll back there);
+        // the shard itself is supervised below.
+        let crashed: Vec<usize> = self
+            .fan_out(undo.into_iter().map(|(s, sub)| {
+                (s, move |db: &mut SessionDb| match sub {
+                    SubState::Running(sub) => db.abort(sub).expect("sub is live"),
+                    SubState::Prepared(sub) => db
+                        .resolve_commit(sub, false, false)
+                        .expect("sub is prepared"),
+                    SubState::Absent => unreachable!("absent subs have nothing to undo"),
+                })
+            }))
+            .into_iter()
+            .filter(|(_, r)| r.is_err())
+            .map(|(s, _)| s)
+            .collect();
         let sl = &mut self.slots[ti];
         sl.touched.clear();
         if let Some(s) = keep {
@@ -2136,8 +2118,9 @@ impl<'a> ShardedDb<'a> {
     }
 
     /// Fault injection (tests): kill shard `s`'s worker now, exactly as a
-    /// shard-local bug would — the bomb job panics on the worker thread,
-    /// which drops the shard state mid-flight (its log closes without a
+    /// shard-local bug would — the bomb job panics (inline, on this
+    /// thread, when the shard is idle), which drops the shard state
+    /// mid-flight (its log closes without a
     /// final flush: crash semantics). Returns once the worker is dead;
     /// supervision happens at the next touch, or via
     /// [`check_shards`](Self::check_shards).
@@ -2181,6 +2164,35 @@ impl<'a> ShardedDb<'a> {
             let _ = rx.recv();
         });
         tx
+    }
+
+    /// Run one job per listed shard concurrently and collect the results
+    /// in list order (`Err`: the shard's worker was dead or died running
+    /// its job). Every job but the first goes to its shard's mailbox; the
+    /// first then runs through [`Worker::call`] — on this thread — while
+    /// the others work, so a fan-out to one shard pays no thread hand-off.
+    fn fan_out<R, F>(
+        &self,
+        jobs: impl IntoIterator<Item = (usize, F)>,
+    ) -> Vec<(usize, Result<R, WorkerError>)>
+    where
+        R: Send + 'static,
+        F: FnOnce(&mut SessionDb) -> R + Send + 'static,
+    {
+        let mut jobs = jobs.into_iter();
+        let Some((first, f)) = jobs.next() else {
+            return Vec::new();
+        };
+        let replies: Vec<(usize, Result<Reply<R>, WorkerError>)> =
+            jobs.map(|(s, f)| (s, self.workers[s].submit(f))).collect();
+        let mut out = Vec::with_capacity(replies.len() + 1);
+        out.push((first, self.workers[first].call(f)));
+        out.extend(
+            replies
+                .into_iter()
+                .map(|(s, r)| (s, r.and_then(Reply::wait))),
+        );
+        out
     }
 
     /// Run one 2PC protocol job on shard `s`, injecting the scripted
@@ -2436,7 +2448,7 @@ impl<'a> ShardedDb<'a> {
 /// health probe costs the data plane nothing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardStatus {
-    /// The worker thread is running (its panic flag is clear). A crashed
+    /// The worker is serving jobs (its panic flag is clear). A crashed
     /// worker reports `false` until the next operation routed there
     /// triggers supervision, which restarts it in place.
     pub alive: bool,
@@ -2452,8 +2464,8 @@ pub struct ShardStatus {
 ///
 /// This is the closed set of step shapes the wire protocol can express:
 /// unlike [`ShardedDb::update`]'s arbitrary closure, an affine update is
-/// plain data, so a whole run of operations moves to a shard worker in
-/// one mailbox message.
+/// plain data, so a whole run of operations moves to a shard in
+/// one shard job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BatchOp {
     /// Observe a variable.

@@ -8,10 +8,10 @@
 //! engine) and a **writer** thread (frame and batch responses back out).
 //! One **engine** thread owns the [`ShardedDb`] and is the only thread
 //! that touches it: every connection's requests are multiplexed onto it
-//! through one bounded channel, and consecutive data operations of the
-//! same transaction are submitted through [`ShardedDb::apply_batch`] so a
-//! pipelining client amortizes the per-operation shard-mailbox round
-//! trip.
+//! through one bounded channel, and each drain pass — every pending data
+//! operation and commit of every connection — goes down as one
+//! [`ShardedDb::submit_group`] call, so single-shard transactions share
+//! one shard job per shard instead of paying one per operation.
 //!
 //! # Admission control
 //!

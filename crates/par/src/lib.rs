@@ -11,23 +11,28 @@
 //!   per-item work is itself deterministic — which the simulator
 //!   guarantees by deriving an independent RNG stream per item.
 //! * [`Worker`] — a persistent actor: one OS thread owning a piece of
-//!   state, driven through a mailbox of `FnOnce(&mut T)` jobs. Jobs from
-//!   one sender run in send order; [`Worker::submit`] returns a [`Reply`]
-//!   so a coordinator can fan a batch out to several workers and then
-//!   collect, which is how the engine's sharded database drives one
-//!   worker per shard (`ccopt-engine::shard`).
+//!   state, driven by `FnOnce(&mut T)` jobs. [`Worker::submit`] queues a
+//!   job in the worker's mailbox and returns a [`Reply`], so a
+//!   coordinator can fan a batch out to several workers and then collect
+//!   — which is how the engine's sharded database runs one shard per
+//!   worker (`ccopt-engine::shard`). [`Worker::call`] is the synchronous
+//!   form: when nothing is queued it runs the job on the **calling
+//!   thread** (under the same lock the worker thread takes), so a caller
+//!   that would only block on the reply pays no thread hand-off. Jobs
+//!   from one caller run in issue order either way.
 //!
 //! ## Fault containment
 //!
 //! A worker is a *fault domain*: each job runs under
-//! [`std::panic::catch_unwind`], so a panicking job kills
-//! only its own worker, never the process. The state is dropped on the
-//! worker thread at the point of death — for a shard database this closes
-//! its write-ahead log *without* a final flush, which is exactly crash
-//! semantics: recovery replays the durable prefix. After death every
-//! interaction returns [`WorkerError`] instead of panicking, and queued
-//! jobs that will never run resolve their [`Reply`]s as errors, so a
-//! supervisor can detect the crash, fail the in-flight work, and respawn.
+//! [`std::panic::catch_unwind`], on whichever thread runs it, so a
+//! panicking job kills only its own worker, never the process. The state
+//! is dropped at the point of death, before the failing interaction
+//! returns — for a shard database this closes its write-ahead log
+//! *without* a final flush, which is exactly crash semantics: recovery
+//! replays the durable prefix. After death every interaction returns
+//! [`WorkerError`] instead of panicking, and queued jobs that will never
+//! run resolve their [`Reply`]s as errors, so a supervisor can detect the
+//! crash, fail the in-flight work, and respawn.
 //!
 //! The mailbox is optionally bounded ([`Worker::set_capacity`]):
 //! [`Worker::try_submit`] refuses with [`SubmitError::Full`] instead of
@@ -38,7 +43,7 @@ use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 /// Number of worker threads `par_map` uses: the machine's available
@@ -152,8 +157,10 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// A boxed job for a [`Worker`]'s mailbox.
-type Job<T> = Box<dyn FnOnce(&mut T) + Send>;
+/// A boxed job for a [`Worker`]'s mailbox. The worker thread hands it the
+/// state and the mailbox-depth counter, which the job decrements once it
+/// has run and before its reply becomes visible.
+type Job<T> = Box<dyn FnOnce(&mut T, &AtomicUsize) + Send>;
 
 /// The pending answer of a [`Worker::submit`] call. Dropping it without
 /// [`wait`](Reply::wait)ing discards the result (the job still runs).
@@ -171,23 +178,29 @@ impl<R> Reply<R> {
     }
 }
 
-/// A persistent worker thread owning a piece of state `T`, driven through
-/// a FIFO mailbox of closures.
+/// A persistent worker thread owning a piece of state `T`, driven by
+/// closures: queued through a FIFO mailbox ([`submit`](Worker::submit)),
+/// or run on the calling thread when the mailbox is empty
+/// ([`call`](Worker::call)).
 ///
-/// Jobs submitted from the owning coordinator run strictly in submission
-/// order, each with exclusive `&mut T` access — the actor pattern: state
-/// is owned, never shared, so `T` needs no internal synchronization.
-/// Dropping the worker closes the mailbox, drains the remaining jobs,
-/// drops `T` *on the worker thread*, and joins — so resources owned by
-/// `T` (files, logs) are fully released when `drop` returns.
+/// Jobs issued from one caller run strictly in issue order, each with
+/// exclusive `&mut T` access — the actor pattern: the state sits behind
+/// one lock that the worker thread and inline calls take per job, so `T`
+/// itself needs no internal synchronization. Dropping the worker closes
+/// the mailbox, drains the remaining jobs, joins the thread and drops
+/// `T` — so resources owned by `T` (files, logs) are fully released when
+/// `drop` returns.
 ///
 /// A job that panics kills the worker, not the process: the panic is
-/// caught, the state is dropped on the worker thread (mid-flight, as a
-/// crash would leave it), queued jobs are discarded, and every later
-/// interaction returns [`WorkerError`].
+/// caught, the state is dropped before the failing interaction returns
+/// (mid-flight, as a crash would leave it), queued jobs are discarded,
+/// and every later interaction returns [`WorkerError`].
 pub struct Worker<T> {
     tx: Option<Sender<Job<T>>>,
     handle: Option<JoinHandle<()>>,
+    /// The state, shared by the worker thread and inline calls; `None`
+    /// once dropped (death or shutdown).
+    state: Arc<Mutex<Option<T>>>,
     alive: Arc<AtomicBool>,
     /// Jobs submitted but not yet completed (mailbox depth).
     pending: Arc<AtomicUsize>,
@@ -196,32 +209,40 @@ pub struct Worker<T> {
     capacity: Arc<AtomicUsize>,
 }
 
+/// Jobs panic only inside `catch_unwind`, with the state's guard held
+/// outside it, so a poisoned lock means a bug in this module.
+const POISONED: &str = "worker state lock poisoned outside a job";
+
+/// Fault containment: mark the domain dead *before* dropping the state so
+/// observers never see a live flag over a dropped state. Dropping the
+/// state mid-flight gives crash semantics to whatever it owns — a WAL
+/// file closes without a final flush, so recovery sees exactly the
+/// durable prefix.
+fn kill<T>(alive: &AtomicBool, state: &mut Option<T>) {
+    alive.store(false, Ordering::Release);
+    state.take();
+}
+
 impl<T: Send + 'static> Worker<T> {
-    /// Move `state` onto a fresh worker thread and open its mailbox.
+    /// Move `state` into a fresh worker and start its thread.
     pub fn spawn(state: T) -> Worker<T> {
         let (tx, rx) = channel::<Job<T>>();
+        let state = Arc::new(Mutex::new(Some(state)));
         let alive = Arc::new(AtomicBool::new(true));
         let pending = Arc::new(AtomicUsize::new(0));
         let handle = {
-            let alive = alive.clone();
-            let pending = pending.clone();
+            let (state, alive, pending) = (state.clone(), alive.clone(), pending.clone());
             std::thread::spawn(move || {
-                let mut state = state;
                 while let Ok(job) = rx.recv() {
-                    let ok = catch_unwind(AssertUnwindSafe(|| job(&mut state))).is_ok();
-                    pending.fetch_sub(1, Ordering::Release);
-                    if !ok {
-                        // Fault containment: mark the domain dead *before*
-                        // dropping the state so observers never see a live
-                        // flag over a dropped state. Dropping here (on the
-                        // worker thread, mid-flight) gives crash semantics
-                        // to whatever the state owns — a WAL file closes
-                        // without a final flush, so recovery sees exactly
-                        // the durable prefix. Queued jobs die with the
-                        // receiver; their Reply senders drop and every
-                        // wait() resolves to Err(WorkerError).
-                        alive.store(false, Ordering::Release);
-                        drop(state);
+                    let mut guard = state.lock().expect(POISONED);
+                    // `None`: an inline call panicked and dropped the
+                    // state. Queued jobs die with the receiver; their
+                    // Reply senders drop and every wait() resolves to
+                    // Err(WorkerError).
+                    let Some(st) = guard.as_mut() else { return };
+                    if catch_unwind(AssertUnwindSafe(|| job(st, &pending))).is_err() {
+                        pending.fetch_sub(1, Ordering::Release);
+                        kill(&alive, &mut guard);
                         return;
                     }
                 }
@@ -230,14 +251,15 @@ impl<T: Send + 'static> Worker<T> {
         Worker {
             tx: Some(tx),
             handle: Some(handle),
+            state,
             alive,
             pending,
             capacity: Arc::new(AtomicUsize::new(usize::MAX)),
         }
     }
 
-    /// Whether the worker thread is still serving jobs. A `true` may be
-    /// stale the instant it is read (the worker may be dying right now);
+    /// Whether the worker is still serving jobs. A `true` may be stale
+    /// the instant it is read (the worker may be dying right now);
     /// `false` is definitive.
     pub fn is_alive(&self) -> bool {
         self.alive.load(Ordering::Acquire)
@@ -262,21 +284,6 @@ impl<T: Send + 'static> Worker<T> {
         self.pending.load(Ordering::Acquire) >= self.capacity.load(Ordering::Acquire)
     }
 
-    /// Close the mailbox and join the worker thread in place: queued jobs
-    /// drain (or die with the receiver if the worker already panicked),
-    /// the state — and everything it owns, such as log file handles — is
-    /// fully dropped before this returns, and every later interaction
-    /// returns [`WorkerError`]. A supervisor calls this before recovering
-    /// a crashed shard's log in place, guaranteeing the dying worker's
-    /// file handle is closed first.
-    pub fn shutdown(&mut self) {
-        self.tx.take();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-        self.alive.store(false, Ordering::Release);
-    }
-
     /// Enqueue `f` and return a [`Reply`] for its result, or
     /// [`WorkerError`] when the worker is dead. Use this to fan a batch
     /// of jobs out to several workers before collecting any of the
@@ -295,8 +302,13 @@ impl<T: Send + 'static> Worker<T> {
         };
         let (rtx, rrx) = channel();
         self.pending.fetch_add(1, Ordering::AcqRel);
-        let sent = tx.send(Box::new(move |state: &mut T| {
-            let _ = rtx.send(f(state));
+        let sent = tx.send(Box::new(move |state: &mut T, pending: &AtomicUsize| {
+            let r = f(state);
+            // Completed before the reply is visible: a caller woken by
+            // this reply finds the mailbox empty and calls inline (this
+            // Release pairs with the Acquire load in `call`).
+            pending.fetch_sub(1, Ordering::Release);
+            let _ = rtx.send(r);
         }));
         if sent.is_err() {
             // The worker died between the liveness check and the send;
@@ -320,25 +332,60 @@ impl<T: Send + 'static> Worker<T> {
         self.submit(f).map_err(|WorkerError| SubmitError::Dead)
     }
 
-    /// Run `f` on the worker and block for its result (a synchronous
-    /// round-trip through the mailbox), or [`WorkerError`] when the
-    /// worker is dead or dies running `f`.
+    /// Run `f` against the state and return its result, or
+    /// [`WorkerError`] when the worker is dead or dies running `f`.
+    ///
+    /// With the mailbox empty, `f` runs on the **calling thread** — the
+    /// caller would only block on the reply, so the thread hand-off buys
+    /// nothing. While submitted jobs are still queued, `f` queues behind
+    /// them (a mailbox round trip), keeping issue order.
     pub fn call<R: Send + 'static>(
         &self,
         f: impl FnOnce(&mut T) -> R + Send + 'static,
     ) -> Result<R, WorkerError> {
-        self.submit(f)?.wait()
+        if self.pending.load(Ordering::Acquire) != 0 {
+            return self.submit(f)?.wait();
+        }
+        let mut guard = self.state.lock().expect(POISONED);
+        let Some(state) = guard.as_mut() else {
+            return Err(WorkerError);
+        };
+        match catch_unwind(AssertUnwindSafe(|| f(state))) {
+            Ok(r) => Ok(r),
+            Err(_) => {
+                kill(&self.alive, &mut guard);
+                Err(WorkerError)
+            }
+        }
+    }
+}
+
+impl<T> Worker<T> {
+    /// Close the mailbox and join the worker thread in place: queued jobs
+    /// drain (or die with the receiver if the worker already panicked),
+    /// the state — and everything it owns, such as log file handles — is
+    /// fully dropped before this returns, and every later interaction
+    /// returns [`WorkerError`]. A supervisor calls this before recovering
+    /// a crashed shard's log in place, guaranteeing the dying worker's
+    /// file handle is closed first.
+    pub fn shutdown(&mut self) {
+        self.tx.take();
+        if let Some(h) = self.handle.take() {
+            let _ = h.join();
+        }
+        // Only drops the state, so a poisoned guard is safe to take — and
+        // `Drop` calls this, which must not panic.
+        let mut guard = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        kill(&self.alive, &mut guard);
     }
 }
 
 impl<T> Drop for Worker<T> {
     fn drop(&mut self) {
-        // Closing the channel ends the worker loop; the join guarantees
-        // the state (and everything it owns) is dropped before we return.
-        self.tx.take();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        // Closing the channel ends the worker loop; the join and the
+        // take guarantee the state (and everything it owns) is dropped
+        // before we return.
+        self.shutdown();
     }
 }
 
@@ -410,17 +457,11 @@ mod tests {
 
     #[test]
     fn drop_joins_and_releases_state() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-        struct Flagged(Arc<AtomicBool>);
-        impl Drop for Flagged {
-            fn drop(&mut self) {
-                self.0.store(true, Ordering::SeqCst);
-            }
-        }
         let flag = Arc::new(AtomicBool::new(false));
         let w = Worker::spawn(Flagged(flag.clone()));
         w.call(|_| ()).unwrap();
+        // Queue a job so the drop has a mailbox to drain.
+        let _queued = w.submit(|_| ()).unwrap();
         drop(w);
         assert!(flag.load(Ordering::SeqCst), "state must drop before join");
     }
@@ -441,9 +482,6 @@ mod tests {
         let w = Worker::spawn(0u32);
         let r = w.call(|_| panic!("injected"));
         assert_eq!(r, Err(WorkerError));
-        // The error return is the definitive death signal; the liveness
-        // flag flips moments later (the reply channel drops during the
-        // unwind, before the worker loop observes the panic).
         while w.is_alive() {
             std::thread::yield_now();
         }
@@ -453,25 +491,105 @@ mod tests {
         assert_eq!(w.try_submit(|s| *s).unwrap_err(), SubmitError::Dead);
     }
 
+    /// A test state that raises a flag when dropped.
+    struct Flagged(Arc<AtomicBool>);
+
+    impl Drop for Flagged {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+
     #[test]
     fn panic_drops_state_on_worker_thread() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-        struct Flagged(Arc<AtomicBool>);
-        impl Drop for Flagged {
-            fn drop(&mut self) {
-                self.0.store(true, Ordering::SeqCst);
-            }
-        }
         let flag = Arc::new(AtomicBool::new(false));
         let w = Worker::spawn(Flagged(flag.clone()));
-        assert!(w.call(|_| panic!("injected")).is_err());
-        // The catch-unwind path drops the state at the point of death;
-        // wait for the worker thread to finish doing so.
+        let bomb = w.submit(|_| panic!("injected")).unwrap();
+        assert_eq!(bomb.wait(), Err(WorkerError));
+        // The reply channel drops during the unwind, before the worker
+        // loop observes the panic: the error return is the definitive
+        // death signal, and the catch-unwind path drops the state on the
+        // worker thread moments later.
         while !flag.load(Ordering::SeqCst) {
             std::thread::yield_now();
         }
         assert!(!w.is_alive());
+        assert!(w.submit(|_| ()).is_err());
+        assert_eq!(w.call(|_| ()), Err(WorkerError));
+    }
+
+    #[test]
+    fn inline_panic_drops_state_before_call_returns() {
+        let flag = Arc::new(AtomicBool::new(false));
+        let w = Worker::spawn(Flagged(flag.clone()));
+        assert_eq!(w.call(|_| panic!("injected")), Err(WorkerError));
+        // No waiting: the inline path kills the domain before returning.
+        assert!(
+            flag.load(Ordering::SeqCst),
+            "state must drop before call returns"
+        );
+        assert!(!w.is_alive());
+        assert_eq!(w.call(|_| ()), Err(WorkerError));
+        assert!(w.submit(|_| ()).is_err());
+        assert_eq!(w.try_submit(|_| ()).unwrap_err(), SubmitError::Dead);
+        // Dropping a worker killed inline still joins its thread cleanly.
+        drop(w);
+    }
+
+    #[test]
+    fn call_runs_on_the_calling_thread_when_the_mailbox_is_empty() {
+        let me = std::thread::current().id();
+        let w = Worker::spawn(());
+        assert_eq!(w.call(|_| std::thread::current().id()).unwrap(), me);
+        // Right after a waited fan-out job the mailbox is already empty:
+        // the job retires itself before its reply becomes visible.
+        for _ in 0..100 {
+            let there = w.submit(|_| std::thread::current().id()).unwrap();
+            assert_ne!(there.wait().unwrap(), me);
+            assert_eq!(w.queue_len(), 0);
+            assert_eq!(w.call(|_| std::thread::current().id()).unwrap(), me);
+        }
+    }
+
+    #[test]
+    fn call_queues_behind_submitted_jobs() {
+        let w = Worker::spawn(Vec::<u32>::new());
+        let (gate_tx, gate_rx) = channel::<()>();
+        // Stall the worker so the submitted jobs are still queued when
+        // the call is issued.
+        let stalled = w
+            .submit(move |_| {
+                let _ = gate_rx.recv();
+            })
+            .unwrap();
+        let queued: Vec<Reply<()>> = (0..3)
+            .map(|i| w.submit(move |v| v.push(i)).unwrap())
+            .collect();
+        let seen = std::thread::scope(|scope| {
+            let w = &w;
+            // Open the gate once the call itself sits in the mailbox:
+            // the stalled job, three pushes, and the call. The deadline
+            // turns a call that skipped the queue into a failed
+            // assertion below rather than a hang.
+            scope.spawn(move || {
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+                while w.queue_len() < 5 && std::time::Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                gate_tx.send(()).unwrap();
+            });
+            w.call(|v| {
+                v.push(99);
+                (v.clone(), std::thread::current().id())
+            })
+            .unwrap()
+        });
+        assert_eq!(seen.0, vec![0, 1, 2, 99]);
+        assert_ne!(seen.1, std::thread::current().id());
+        stalled.wait().unwrap();
+        for r in queued {
+            r.wait().unwrap();
+        }
     }
 
     #[test]
